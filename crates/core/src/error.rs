@@ -3,6 +3,7 @@
 use core::fmt;
 
 use vcop_fabric::loader::LoadError;
+use vcop_sim::fault::FaultSite;
 use vcop_vim::VimError;
 
 /// Errors surfaced by the [`crate::System`] programming interface.
@@ -46,6 +47,12 @@ pub enum Error {
         /// The fallback's own failure description.
         reason: String,
     },
+    /// The fault plan arms a site the engine cannot honour (the
+    /// multi-tenant engine rolls only the DMA and bus sites).
+    UnsupportedFault {
+        /// The first unsupported site the plan arms.
+        site: FaultSite,
+    },
 }
 
 impl fmt::Display for Error {
@@ -70,6 +77,9 @@ impl fmt::Display for Error {
             ),
             Error::FallbackFailed { reason } => {
                 write!(f, "software fallback failed: {reason}")
+            }
+            Error::UnsupportedFault { site } => {
+                write!(f, "fault site {site} is not supported by this engine")
             }
         }
     }

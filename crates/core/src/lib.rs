@@ -60,6 +60,7 @@
 pub mod baseline;
 pub mod error;
 pub mod fallback;
+mod lean;
 pub mod multi;
 pub mod report;
 pub mod system;

@@ -45,7 +45,7 @@ use vcop_imu::registers::ControlRegister;
 use vcop_imu::tlb::Asid;
 use vcop_sim::bus::BurstKind;
 use vcop_sim::clock::{ClockDomain, EdgeScheduler};
-use vcop_sim::fault::{FaultInjector, FaultPlan};
+use vcop_sim::fault::{FaultInjector, FaultPlan, FaultSite};
 use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::irq::{InterruptController, IrqLine};
 use vcop_sim::mem::DualPortRam;
@@ -61,7 +61,19 @@ use vcop_vim::{TransferMode, VimError};
 
 use crate::error::Error;
 use crate::fallback::{FallbackIo, RecoveryPolicy, SoftwareFallback};
+use crate::lean;
 use crate::system::{VimIo, DEFAULT_EDGE_BUDGET};
+
+/// Fault sites the multi-tenant engine never rolls: it has no
+/// interrupt-loss model, no TLB parity injection and no fabric
+/// reprogramming. [`MultiSystem::run`] rejects a [`FaultPlan`] that
+/// arms any of them instead of silently ignoring it.
+const UNSUPPORTED_FAULT_SITES: [FaultSite; 4] = [
+    FaultSite::IrqDrop,
+    FaultSite::IrqDelay,
+    FaultSite::TlbParity,
+    FaultSite::BitstreamLoad,
+];
 
 /// Decides which runnable tenant gets the fabric at each yield point.
 ///
@@ -455,7 +467,8 @@ impl MultiSystemBuilder {
         self
     }
 
-    /// Overrides the run edge budget (hang detection).
+    /// Overrides the edge budget (hang detection). The budget applies
+    /// to each [`MultiSystem::run`] separately.
     pub fn edge_budget(mut self, budget: u64) -> Self {
         self.edge_budget = budget.max(1);
         self
@@ -464,7 +477,10 @@ impl MultiSystemBuilder {
     /// Arms deterministic fault injection with `plan` and, unless
     /// [`MultiSystemBuilder::recovery`] overrides it, the default
     /// [`RecoveryPolicy`]. Use [`FaultPlan::target`] to confine faults
-    /// to one tenant's address space.
+    /// to one tenant's address space. Only the DMA and bus sites are
+    /// honoured; [`MultiSystem::run`] rejects a plan that arms
+    /// [`FaultSite::IrqDrop`], [`FaultSite::IrqDelay`],
+    /// [`FaultSite::TlbParity`] or [`FaultSite::BitstreamLoad`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -528,7 +544,7 @@ impl MultiSystemBuilder {
             tenants: Vec::new(),
             loaded: None,
             edge_budget: self.edge_budget,
-            edges: 0,
+            run_edges: 0,
             now: SimTime::ZERO,
             cpu_free_at: SimTime::ZERO,
             config_time: SimTime::ZERO,
@@ -557,8 +573,10 @@ pub struct MultiSystem {
     tenants: Vec<Tenant>,
     /// Tenant whose execution context currently occupies the IMU.
     loaded: Option<usize>,
+    /// Per-`run` edge budget (hang detection).
     edge_budget: u64,
-    edges: u64,
+    /// Edges simulated since the current `run` began.
+    run_edges: u64,
     /// Latest instant the fabric has simulated to.
     now: SimTime,
     /// The (single) CPU serialises all OS work: setup, services,
@@ -724,10 +742,18 @@ impl MultiSystem {
     ///
     /// # Errors
     ///
+    /// * [`Error::UnsupportedFault`] if the fault plan arms a site this
+    ///   engine cannot honour (see [`MultiSystemBuilder::faults`]);
+    ///   nothing is simulated;
     /// * [`Error::Vim`] for coprocessor protocol violations;
-    /// * [`Error::Timeout`] if the edge budget is exhausted or no
+    /// * [`Error::Timeout`] if this run exhausts the edge budget or no
     ///   tenant can make progress.
     pub fn run(&mut self) -> Result<MultiReport, Error> {
+        let faults = self.vim.fault_injector();
+        if let Some(&site) = UNSUPPORTED_FAULT_SITES.iter().find(|&&s| faults.arms(s)) {
+            return Err(Error::UnsupportedFault { site });
+        }
+        self.run_edges = 0;
         let steals0 = self.vim.counters().get("cross_asid_steal");
         let wb0 = self.vim.counters().get("page_writeback");
         let requests0: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
@@ -1076,10 +1102,29 @@ impl MultiSystem {
         sched.clock_mut(cp_clk).fast_forward_past(segment_start);
 
         loop {
-            if self.edges >= self.edge_budget {
+            if self.run_edges >= self.edge_budget {
                 return Err(Error::Timeout {
                     budget: self.edge_budget,
                 });
+            }
+            // Fused transactions are sound while the shared DMA engine
+            // is idle: it cannot complete a transfer, so no parked
+            // neighbour can become ready during the span, and fused
+            // hits never submit DMA (only fault service does, below).
+            if !self.vim.dma_busy() {
+                let (imu_clock, cp_clock) = sched.pair_mut(imu_clk, cp_clk);
+                let t = &mut self.tenants[idx];
+                t.stats.cp_cycles += lean::run_fused(
+                    &mut self.imu,
+                    &mut t.port,
+                    t.coprocessor.as_mut(),
+                    &mut self.dpram,
+                    &mut self.trace,
+                    imu_clock,
+                    cp_clock,
+                    &mut self.run_edges,
+                    self.edge_budget,
+                );
             }
             // Event-driven skip: fast-forward both domains across spans
             // where neither side can act (the active tenant is never
@@ -1104,8 +1149,8 @@ impl MultiSystem {
                     let imu_skip = imu_clock.edges_before(h);
                     let cp_skip = cp_clock.edges_before(h);
                     let total = imu_skip + cp_skip;
-                    if total > 0 && self.edges + total < self.edge_budget {
-                        self.edges += total;
+                    if total > 0 && self.run_edges + total < self.edge_budget {
+                        self.run_edges += total;
                         if imu_skip > 0 {
                             let clk = sched.clock_mut(imu_clk);
                             let last = clk.next_edge()
@@ -1123,7 +1168,7 @@ impl MultiSystem {
                 }
             }
 
-            self.edges += 1;
+            self.run_edges += 1;
             let (t_edge, id) = sched.pop().expect("two clocks registered");
 
             // Drain the shared DMA engine up to this edge; arrivals for

@@ -32,7 +32,7 @@ use vcop_sim::fault::{FaultInjector, FaultPlan, FaultSite};
 use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::irq::{InterruptController, IrqLine};
 use vcop_sim::mem::DualPortRam;
-use vcop_sim::sched::{EventKernel, Wake, WakeSource};
+use vcop_sim::sched::{EventKernel, WakeSource};
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::{TraceSink, WaveTracer};
 use vcop_vim::cost::{OsCostModel, OsOverheads};
@@ -45,6 +45,7 @@ use vcop_vim::{TransferMode, VimError};
 
 use crate::error::Error;
 use crate::fallback::{FallbackIo, RecoveryPolicy, SoftwareFallback};
+use crate::lean;
 use crate::report::ExecutionReport;
 
 /// Default per-execute edge budget (hang detection).
@@ -822,107 +823,26 @@ impl System {
                     });
                 }
             }
-            // Lean transaction engine: in the common synchronous steady
-            // state (no DMA engine, non-pipelined IMU) the whole
-            // accept→translate→complete span of a hitting access is
-            // deterministic, so it runs as one fused transaction instead
-            // of five-plus scheduler iterations, and a computing
-            // coprocessor burst runs as one skip-plus-step round. Any
-            // milestone the span cannot prove idle — a fault, `CP_FIN`,
-            // param-done, pipelining, a blocked pair, budget proximity —
-            // drops back to the generic event loop below.
+            // Lean transaction engine. It stands down whenever
+            // overlapped paging is configured, even with the DMA engine
+            // idle: see EXPERIMENTS.md ("Shared lean runner") for why
+            // this gate is not yet relaxed to `!vim.dma_busy()`.
             if self.kernel == Kernel::EventDriven
                 && demand_start.is_none()
                 && !self.vim.overlap_active()
             {
                 let (imu_clock, cp_clock) = sched.pair_mut(imu_clk, cp_clk);
-                let cp = self.coprocessor.as_mut().expect("checked above");
-                loop {
-                    if !self.imu.lean_ready()
-                        || self.port.fin_pending()
-                        || self.port.param_done_pending()
-                    {
-                        break;
-                    }
-                    if self.port.outstanding_len() > 0 {
-                        // A pending access: fuse accept → completion.
-                        let lat = self.imu.fused_latency();
-                        let t_accept = imu_clock.next_edge();
-                        let Some(t_comp) = Wake::In(lat).at(t_accept, imu_clock.period()) else {
-                            break;
-                        };
-                        // The coprocessor must be provably asleep until
-                        // the completion edge, or the completed data
-                        // would become visible at the wrong cycle.
-                        let quiescent = match cp
-                            .next_wake(&self.port)
-                            .at(cp_clock.next_edge(), cp_clock.period())
-                        {
-                            None => true,
-                            Some(t) => t >= t_comp,
-                        };
-                        if !quiescent {
-                            break;
-                        }
-                        let cp_skip = cp_clock.edges_before_short(t_comp);
-                        if edges + lat + cp_skip >= self.edge_budget {
-                            break;
-                        }
-                        let mut link = PortLink::new(&mut self.port);
-                        if !self.imu.fused_access(
-                            t_accept,
-                            t_comp,
-                            &mut link,
-                            &mut self.dpram,
-                            &mut self.trace,
-                        ) {
-                            // Would fault: the generic loop raises it.
-                            break;
-                        }
-                        imu_clock.consume_edges(lat);
-                        edges += lat;
-                        if cp_skip > 0 {
-                            cp_clock.consume_edges(cp_skip);
-                            cp.skip(cp_skip);
-                            cp_cycles += cp_skip;
-                            edges += cp_skip;
-                        }
-                        continue;
-                    }
-                    // Nothing issued: the coprocessor is computing. Skip
-                    // straight to its wake edge and step it once.
-                    let Wake::In(k) = cp.next_wake(&self.port) else {
-                        // Both sides blocked: the generic hang path.
-                        break;
-                    };
-                    let k = k.max(1);
-                    let Some(t_cp) = Wake::In(k).at(cp_clock.next_edge(), cp_clock.period()) else {
-                        break;
-                    };
-                    // IMU edges at or before the step (ties go to the
-                    // IMU, which is provably idle here) are bulk-idled.
-                    let imu_skip = imu_clock.edges_before_short(t_cp + SimTime::from_ps(1));
-                    if edges + imu_skip + k >= self.edge_budget {
-                        break;
-                    }
-                    if imu_skip > 0 {
-                        let last = imu_clock.next_edge()
-                            + SimTime::from_ps(imu_clock.period().as_ps() * (imu_skip - 1));
-                        imu_clock.consume_edges(imu_skip);
-                        self.imu.skip_idle_edges(imu_skip, last);
-                        edges += imu_skip;
-                    }
-                    if k > 1 {
-                        cp_clock.consume_edges(k - 1);
-                        cp_cycles += k - 1;
-                        edges += k - 1;
-                        cp.skip(k - 1);
-                    }
-                    cp_clock.advance();
-                    edges += 1;
-                    cp_cycles += 1;
-                    cp.step(&mut self.port);
-                }
+                cp_cycles += lean::run_fused(
+                    &mut self.imu,
+                    &mut self.port,
+                    self.coprocessor.as_deref_mut().expect("checked above"),
+                    &mut self.dpram,
+                    &mut self.trace,
+                    imu_clock,
+                    cp_clock,
+                    &mut edges,
+                    self.edge_budget,
+                );
             }
 
             // Event-driven kernel: fast-forward both domains across

@@ -529,3 +529,106 @@ proptest! {
         prop_assert_eq!(ti.stats.fallbacks, 0);
     }
 }
+
+/// A lone adpcm tenant on the system `builder` describes.
+fn solo_adpcm_system(builder: MultiSystemBuilder) -> (MultiSystem, Asid) {
+    let mut sys = builder.build();
+    let adpcm = sys
+        .add_tenant(
+            "adpcm",
+            1,
+            Frequency::from_mhz(40),
+            Frequency::from_mhz(40),
+            &adpcm_bitstream(),
+            Box::new(adpcm_hw::AdpcmCoprocessor::new()),
+        )
+        .expect("admit tenant");
+    (sys, adpcm)
+}
+
+#[test]
+fn edge_budget_applies_per_run() {
+    // One 1 KB adpcm request simulates 86 036 edges, so a 120 000-edge
+    // budget fits one request per run but not two.
+    const BUDGET: u64 = 120_000;
+    let (mut sys, adpcm) = solo_adpcm_system(MultiSystemBuilder::epxa4().edge_budget(BUDGET));
+    for salt in 0..3 {
+        let (req, expect) = adpcm_request(1024, salt);
+        sys.submit(adpcm, req);
+        let report = sys
+            .run()
+            .unwrap_or_else(|e| panic!("run {salt} fits the budget on its own: {e}"));
+        assert_eq!(report.requests, 1);
+        assert_eq!(output_bytes(&mut sys, adpcm), vec![expect]);
+    }
+
+    // A single run that needs more than the budget still times out.
+    let (mut sys, adpcm) = solo_adpcm_system(MultiSystemBuilder::epxa4().edge_budget(BUDGET));
+    sys.submit(adpcm, adpcm_request(1024, 0).0);
+    sys.submit(adpcm, adpcm_request(1024, 1).0);
+    assert!(matches!(
+        sys.run(),
+        Err(vcop::Error::Timeout { budget: BUDGET })
+    ));
+}
+
+/// Runs one adpcm request under `plan`, which arms `site`, and checks
+/// that `run` refuses it up front.
+fn assert_fault_site_rejected(site: FaultSite, plan: FaultPlan) {
+    let (mut sys, adpcm) = solo_adpcm_system(MultiSystemBuilder::epxa4().faults(plan));
+    sys.submit(adpcm, adpcm_request(1024, 0).0);
+    match sys.run() {
+        Err(vcop::Error::UnsupportedFault { site: s }) => assert_eq!(s, site),
+        other => panic!("{site} must be rejected, got {other:?}"),
+    }
+    // Nothing was simulated: the request is still queued, no frame was
+    // touched and no opportunity was rolled.
+    assert!(sys.take_completed(adpcm).is_empty());
+    assert_eq!(sys.vim().counters().get("page_load"), 0);
+    assert_eq!(sys.fault_injector().opportunities(site), 0);
+}
+
+#[test]
+fn irq_drop_plans_are_rejected() {
+    let site = FaultSite::IrqDrop;
+    assert_fault_site_rejected(site, FaultPlan::new(1).rate(site, 0.1));
+}
+
+#[test]
+fn irq_delay_plans_are_rejected() {
+    let site = FaultSite::IrqDelay;
+    assert_fault_site_rejected(site, FaultPlan::new(1).once(site, 3));
+}
+
+#[test]
+fn tlb_parity_plans_are_rejected() {
+    let site = FaultSite::TlbParity;
+    assert_fault_site_rejected(
+        site,
+        FaultPlan::new(1)
+            .rate(FaultSite::DmaCorrupt, 0.1)
+            .rate(site, 0.01),
+    );
+}
+
+#[test]
+fn bitstream_load_plans_are_rejected() {
+    let site = FaultSite::BitstreamLoad;
+    assert_fault_site_rejected(site, FaultPlan::new(1).once(site, 1));
+}
+
+#[test]
+fn dma_fault_sites_are_still_honoured() {
+    // The DMA and bus sites stay supported, and a plan that names an
+    // unsupported site only at rate zero arms nothing there.
+    let plan = FaultPlan::new(5)
+        .rate(FaultSite::DmaCorrupt, 0.2)
+        .rate(FaultSite::BusStall, 0.2)
+        .rate(FaultSite::IrqDrop, 0.0);
+    let (mut sys, adpcm) = solo_adpcm_system(MultiSystemBuilder::epxa4().faults(plan));
+    let (req, expect) = adpcm_request(2048, 0);
+    sys.submit(adpcm, req);
+    sys.run().expect("DMA faults are honoured");
+    assert_eq!(output_bytes(&mut sys, adpcm), vec![expect]);
+    assert!(sys.fault_injector().fired(FaultSite::DmaCorrupt) > 0);
+}

@@ -232,6 +232,14 @@ impl FaultInjector {
         self.enabled
     }
 
+    /// `true` when the armed plan can fire at `site`: a non-zero rate
+    /// or a one-shot.
+    pub fn arms(&self, site: FaultSite) -> bool {
+        self.enabled
+            && (self.plan.rates[site.index()] > 0.0
+                || self.plan.one_shots.iter().any(|&(s, _)| s == site))
+    }
+
     /// Rolls an untagged opportunity at `site` (single-tenant paths use
     /// tag 0, the ASID of the sole process).
     pub fn roll(&mut self, site: FaultSite) -> bool {
