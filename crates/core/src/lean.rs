@@ -17,12 +17,25 @@ use vcop_sim::sched::Wake;
 use vcop_sim::time::SimTime;
 use vcop_sim::trace::TraceSink;
 
+/// What one [`run_fused`] span did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FusedSpan {
+    /// Coprocessor cycles consumed.
+    pub(crate) cp_cycles: u64,
+    /// The caller's edge count just after the acceptance edge of the
+    /// span's last TLB-hitting access — the count at which the
+    /// reference loop first observes that hit — or `None` if no access
+    /// in the span hit.
+    pub(crate) last_hit_edge: Option<u64>,
+}
+
 /// Runs fused transactions and compute bursts until a milestone the
 /// lean path cannot prove idle — a fault, `CP_FIN`, param-done,
-/// pipelining, a blocked pair, or budget proximity — and returns the
-/// coprocessor cycles consumed. `edges` is advanced by every edge
-/// consumed and never reaches `budget`, so the caller's generic event
-/// loop takes over exactly where the reference loop would be.
+/// pipelining, a blocked pair, or budget proximity. `edges` is advanced
+/// by every edge consumed and never reaches `budget`, so the caller's
+/// generic event loop takes over exactly where the reference loop would
+/// be; a caller with a no-progress watchdog passes its deadline as the
+/// budget.
 ///
 /// The caller must guarantee that no component outside the
 /// IMU/coprocessor pair can act during the span (no DMA transfer can
@@ -41,9 +54,11 @@ pub(crate) fn run_fused(
     cp_clock: &mut ClockDomain,
     edges: &mut u64,
     budget: u64,
-) -> u64 {
+) -> FusedSpan {
     let mut n = *edges;
     let mut cp_cycles = 0u64;
+    let mut last_hit_edge = None;
+    let mut hits = imu.tlb().hits();
     loop {
         if !imu.lean_ready() || port.fin_pending() || port.param_done_pending() {
             break;
@@ -76,6 +91,13 @@ pub(crate) fn run_fused(
             if !imu.fused_access(t_accept, t_comp, &mut link, dpram, trace) {
                 // Would fault: the generic loop raises it.
                 break;
+            }
+            if imu.tlb().hits() != hits {
+                hits = imu.tlb().hits();
+                // The reference loop pops the coprocessor edges before
+                // acceptance, then the acceptance edge (the IMU wins
+                // ties), where the CAM match counts the hit.
+                last_hit_edge = Some(n + cp_clock.edges_before_short(t_accept) + 1);
             }
             imu_clock.consume_edges(lat);
             n += lat;
@@ -122,5 +144,8 @@ pub(crate) fn run_fused(
         cp.step(port);
     }
     *edges = n;
-    cp_cycles
+    FusedSpan {
+        cp_cycles,
+        last_hit_edge,
+    }
 }

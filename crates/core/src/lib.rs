@@ -80,6 +80,7 @@ pub use system::{Kernel, System, SystemBuilder};
 pub use vcop_fabric::port::{Coprocessor, ObjectId};
 pub use vcop_imu::imu::ElemSize;
 pub use vcop_sim::fault::{FaultInjector, FaultPlan, FaultSite};
+pub use vcop_sim::stats::{Counter, Counters};
 pub use vcop_vim::object::{Direction, MapHints};
 pub use vcop_vim::policy::PolicyKind;
 pub use vcop_vim::prefetch::PrefetchMode;

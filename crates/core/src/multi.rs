@@ -50,6 +50,7 @@ use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::irq::{InterruptController, IrqLine};
 use vcop_sim::mem::DualPortRam;
 use vcop_sim::sched::{EventKernel, WakeSource};
+use vcop_sim::stats::Counter;
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::TraceSink;
 use vcop_vim::cost::{OsCostModel, OsOverheads};
@@ -754,8 +755,8 @@ impl MultiSystem {
             return Err(Error::UnsupportedFault { site });
         }
         self.run_edges = 0;
-        let steals0 = self.vim.counters().get("cross_asid_steal");
-        let wb0 = self.vim.counters().get("page_writeback");
+        let steals0 = self.vim.counters()[Counter::CrossAsidSteal];
+        let wb0 = self.vim.counters()[Counter::PageWriteback];
         let requests0: u64 = self.tenants.iter().map(|t| t.stats.completed).sum();
         let fallbacks0: u64 = self.tenants.iter().map(|t| t.stats.fallbacks).sum();
         loop {
@@ -846,8 +847,8 @@ impl MultiSystem {
             requests: self.tenants.iter().map(|t| t.stats.completed).sum::<u64>() - requests0,
             ctx_switches: self.ctx_switches,
             ctx_switch_time: self.ctx_switch_time,
-            cross_asid_steals: self.vim.counters().get("cross_asid_steal") - steals0,
-            page_writebacks: self.vim.counters().get("page_writeback") - wb0,
+            cross_asid_steals: self.vim.counters()[Counter::CrossAsidSteal] - steals0,
+            page_writebacks: self.vim.counters()[Counter::PageWriteback] - wb0,
             fallbacks: self.tenants.iter().map(|t| t.stats.fallbacks).sum::<u64>() - fallbacks0,
             scheduler: self.scheduler.name(),
             tenants: self
@@ -1124,7 +1125,8 @@ impl MultiSystem {
                     cp_clock,
                     &mut self.run_edges,
                     self.edge_budget,
-                );
+                )
+                .cp_cycles;
             }
             // Event-driven skip: fast-forward both domains across spans
             // where neither side can act (the active tenant is never

@@ -60,7 +60,8 @@ pub struct ExecutionReport {
     pub imu_edges: u64,
     /// Distribution of per-fault coprocessor stall times.
     pub fault_latency: LatencyHistogram,
-    /// Raw VIM + IMU counters for anything not broken out above.
+    /// Raw VIM counters for anything not broken out above, cumulative
+    /// over the system's life (index with a `Counter`).
     pub counters: Counters,
     /// Hardware execution attempts (1 = clean first run; 0 when the
     /// recovery layer is disabled and the counter is not kept).

@@ -33,6 +33,7 @@ use vcop_sim::histogram::LatencyHistogram;
 use vcop_sim::irq::{InterruptController, IrqLine};
 use vcop_sim::mem::DualPortRam;
 use vcop_sim::sched::{EventKernel, WakeSource};
+use vcop_sim::stats::{Bucket, Counter};
 use vcop_sim::time::{Frequency, SimTime};
 use vcop_sim::trace::{TraceSink, WaveTracer};
 use vcop_vim::cost::{OsCostModel, OsOverheads};
@@ -579,7 +580,7 @@ impl System {
         };
 
         let fired0 = self.vim.fault_injector().total_fired();
-        let retries0 = self.vim.counters().get("transfer_retry");
+        let retries0 = self.vim.counters()[Counter::TransferRetry];
         let mut recovery_time = SimTime::ZERO;
         let mut resets = 0u64;
         let mut last_err: Option<Error> = None;
@@ -592,7 +593,8 @@ impl System {
                 Ok(mut report) => {
                     report.execute_attempts = attempts;
                     report.injected_faults = self.vim.fault_injector().total_fired() - fired0;
-                    report.transfer_retries = self.vim.counters().get("transfer_retry") - retries0;
+                    report.transfer_retries =
+                        self.vim.counters()[Counter::TransferRetry] - retries0;
                     report.watchdog_resets = resets;
                     report.recovery_time = recovery_time;
                     report.wall += recovery_time;
@@ -709,7 +711,7 @@ impl System {
             wall: recovery_time + cpu,
             execute_attempts: attempts,
             injected_faults: self.vim.fault_injector().total_fired() - fired0,
-            transfer_retries: self.vim.counters().get("transfer_retry") - retries0,
+            transfer_retries: self.vim.counters()[Counter::TransferRetry] - retries0,
             watchdog_resets: resets,
             recovery_time,
             fallback_taken: true,
@@ -734,15 +736,8 @@ impl System {
         }
 
         // Snapshot accounting state.
-        let dp0 = self.vim.times().get("sw_dp");
-        let imu_t0 = self.vim.times().get("sw_imu");
-        let hid0 = self.vim.times().get("dma_hidden");
-        let dma0 = self.vim.counters().get("dma_transfer");
-        let faults0 = self.vim.counters().get("fault");
-        let loads0 = self.vim.counters().get("page_load");
-        let wb0 = self.vim.counters().get("page_writeback");
-        let ev0 = self.vim.counters().get("eviction");
-        let pf0 = self.vim.counters().get("prefetch");
+        let counters0 = self.vim.counters().clone();
+        let times0 = self.vim.times().clone();
         let hits0 = self.imu.tlb().hits();
         let miss0 = self.imu.tlb().misses();
         let imu_edges0 = self.imu.edges();
@@ -796,16 +791,29 @@ impl System {
         // progress (a translation, a fault, a page movement).
         let mut progress_marker = (0u64, 0u64, 0u64, 0u64, 0u64);
         let mut progress_edges = 0u64;
+        let progress_of = |imu: &Imu, vim: &Vim| {
+            let c = vim.counters();
+            (
+                imu.tlb().hits(),
+                imu.tlb().misses(),
+                c[Counter::Fault],
+                c[Counter::PageLoad],
+                c[Counter::PageWriteback],
+            )
+        };
+        // Edge count at which the run must stop for the caller to look
+        // again: the budget, or the watchdog's firing point if sooner.
+        // Fused spans and horizon skips never cross it, so the watchdog
+        // fires on the same edge under both kernels.
+        let budget = self.edge_budget;
+        let deadline = |progress_edges: u64| match watchdog {
+            Some(limit) => budget.min(progress_edges.saturating_add(limit).saturating_add(1)),
+            None => budget,
+        };
 
         while edges < self.edge_budget {
             if let Some(limit) = watchdog {
-                let marker = (
-                    self.imu.tlb().hits(),
-                    self.imu.tlb().misses(),
-                    self.vim.counters().get("fault"),
-                    self.vim.counters().get("page_load"),
-                    self.vim.counters().get("page_writeback"),
-                );
+                let marker = progress_of(&self.imu, &self.vim);
                 if marker != progress_marker {
                     progress_marker = marker;
                     progress_edges = edges;
@@ -832,7 +840,7 @@ impl System {
                 && !self.vim.overlap_active()
             {
                 let (imu_clock, cp_clock) = sched.pair_mut(imu_clk, cp_clk);
-                cp_cycles += lean::run_fused(
+                let span = lean::run_fused(
                     &mut self.imu,
                     &mut self.port,
                     self.coprocessor.as_deref_mut().expect("checked above"),
@@ -841,8 +849,15 @@ impl System {
                     imu_clock,
                     cp_clock,
                     &mut edges,
-                    self.edge_budget,
+                    deadline(progress_edges),
                 );
+                cp_cycles += span.cp_cycles;
+                // Date the span's progress where the reference loop
+                // would have seen it, not at the span's end.
+                if let (Some(_), Some(hit_edge)) = (watchdog, span.last_hit_edge) {
+                    progress_marker = progress_of(&self.imu, &self.vim);
+                    progress_edges = hit_edge;
+                }
             }
 
             // Event-driven kernel: fast-forward both domains across
@@ -871,10 +886,10 @@ impl System {
                     let imu_skip = imu_clock.edges_before(h);
                     let cp_skip = cp_clock.edges_before(h);
                     let total = imu_skip + cp_skip;
-                    // Near the budget a skip could cross the timeout
-                    // point; degrade to stepping so hangs behave
-                    // identically to the reference loop.
-                    if total > 0 && edges + total < self.edge_budget {
+                    // Near the budget or the watchdog deadline a skip
+                    // could cross the timeout point; degrade to stepping
+                    // so hangs behave identically to the reference loop.
+                    if total > 0 && edges + total < deadline(progress_edges) {
                         edges += total;
                         if imu_skip > 0 {
                             let clk = sched.clock_mut(imu_clk);
@@ -1030,19 +1045,21 @@ impl System {
         self.irq.acknowledge(self.pld_irq);
         self.sched.wake(self.caller, t_done + done_svc.total());
 
+        let counted = |c: Counter| self.vim.counters()[c] - counters0[c];
+        let timed = |b: Bucket| self.vim.times()[b].saturating_sub(times0[b]);
         let report = ExecutionReport {
             wall: setup + t_done + done_svc.total(),
             hw: t_done.saturating_sub(fault_stall),
-            sw_dp: self.vim.times().get("sw_dp").saturating_sub(dp0),
-            sw_imu: self.vim.times().get("sw_imu").saturating_sub(imu_t0),
+            sw_dp: timed(Bucket::SwDp),
+            sw_imu: timed(Bucket::SwImu),
             setup,
-            dma_hidden: self.vim.times().get("dma_hidden").saturating_sub(hid0),
-            dma_transfers: self.vim.counters().get("dma_transfer") - dma0,
-            faults: self.vim.counters().get("fault") - faults0,
-            page_loads: self.vim.counters().get("page_load") - loads0,
-            page_writebacks: self.vim.counters().get("page_writeback") - wb0,
-            evictions: self.vim.counters().get("eviction") - ev0,
-            prefetches: self.vim.counters().get("prefetch") - pf0,
+            dma_hidden: timed(Bucket::DmaHidden),
+            dma_transfers: counted(Counter::DmaTransfer),
+            faults: counted(Counter::Fault),
+            page_loads: counted(Counter::PageLoad),
+            page_writebacks: counted(Counter::PageWriteback),
+            evictions: counted(Counter::Eviction),
+            prefetches: counted(Counter::Prefetch),
             tlb_hits: self.imu.tlb().hits() - hits0,
             tlb_misses: self.imu.tlb().misses() - miss0,
             cp_cycles,

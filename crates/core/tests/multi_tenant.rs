@@ -21,6 +21,7 @@ use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::device::DeviceKind;
 use vcop_fabric::resources::Resources;
 use vcop_imu::tlb::Asid;
+use vcop_sim::stats::Counter;
 use vcop_sim::time::Frequency;
 
 fn adpcm_bitstream() -> Vec<u8> {
@@ -584,7 +585,7 @@ fn assert_fault_site_rejected(site: FaultSite, plan: FaultPlan) {
     // Nothing was simulated: the request is still queued, no frame was
     // touched and no opportunity was rolled.
     assert!(sys.take_completed(adpcm).is_empty());
-    assert_eq!(sys.vim().counters().get("page_load"), 0);
+    assert_eq!(sys.vim().counters()[Counter::PageLoad], 0);
     assert_eq!(sys.fault_injector().opportunities(site), 0);
 }
 

@@ -18,7 +18,7 @@
 use vcop_fabric::port::{AccessKind, AccessRequest, CoprocessorPort, ObjectId, PortLink};
 use vcop_sim::mem::{DualPortRam, PageIndex, Port};
 use vcop_sim::sched::Wake;
-use vcop_sim::stats::Counters;
+use vcop_sim::stats::{Counter, Counters};
 use vcop_sim::time::SimTime;
 use vcop_sim::trace::{SignalId, SignalValue, TraceSink};
 
@@ -184,43 +184,6 @@ enum State {
     Done,
 }
 
-/// Datapath event tallies kept as plain fields: several fire on every
-/// translated access, where a map-backed counter would dominate the
-/// simulation's hot path. [`Imu::counters`] renders them in the common
-/// named form on demand.
-#[derive(Debug, Clone, Copy, Default)]
-struct DatapathStats {
-    tlb_hit: u64,
-    tlb_miss: u64,
-    fault: u64,
-    done: u64,
-    completed_read: u64,
-    completed_write: u64,
-    param_read: u64,
-    param_page_freed: u64,
-}
-
-impl DatapathStats {
-    fn to_counters(self) -> Counters {
-        let mut c = Counters::new();
-        for (name, value) in [
-            ("tlb_hit", self.tlb_hit),
-            ("tlb_miss", self.tlb_miss),
-            ("fault", self.fault),
-            ("done", self.done),
-            ("completed_read", self.completed_read),
-            ("completed_write", self.completed_write),
-            ("param_read", self.param_read),
-            ("param_page_freed", self.param_page_freed),
-        ] {
-            if value > 0 {
-                c.add(name, value);
-            }
-        }
-        c
-    }
-}
-
 /// Trace handles for the Fig. 7 signal set.
 #[derive(Debug, Clone, Copy)]
 struct TraceIds {
@@ -286,7 +249,7 @@ pub struct Imu {
     /// `log2(page_bytes)` when the page size is a power of two, letting
     /// the per-access page split use shift/mask instead of division.
     page_shift: Option<u32>,
-    stats: DatapathStats,
+    stats: Counters,
     trace_ids: Option<TraceIds>,
     /// Set by [`Imu::resume`]: stalled accesses must be re-translated
     /// against the repaired TLB at the next edge.
@@ -335,7 +298,7 @@ impl Imu {
                 .page_bytes
                 .is_power_of_two()
                 .then(|| config.page_bytes.trailing_zeros()),
-            stats: DatapathStats::default(),
+            stats: Counters::new(),
             trace_ids: None,
             needs_reresolve: false,
             edges: 0,
@@ -380,11 +343,13 @@ impl Imu {
         &mut self.tlb
     }
 
-    /// Event counters (`tlb_hit`, `tlb_miss`, `fault`, `completed_read`,
-    /// `completed_write`, `param_read`), rendered from the datapath
-    /// tallies; only counters that fired at least once appear.
-    pub fn counters(&self) -> Counters {
-        self.stats.to_counters()
+    /// Datapath event counters ([`Counter::TlbHit`], [`Counter::TlbMiss`],
+    /// [`Counter::Fault`], [`Counter::Done`], [`Counter::CompletedRead`],
+    /// [`Counter::CompletedWrite`], [`Counter::ParamRead`],
+    /// [`Counter::ParamPageFreed`]); only counters that fired at least
+    /// once are listed.
+    pub fn counters(&self) -> &Counters {
+        &self.stats
     }
 
     /// The address-space id translations currently match against.
@@ -497,7 +462,7 @@ impl Imu {
         self.sr.fault = true;
         self.fault_cause = Some(FaultCause::Parity { entry });
         self.state = State::Faulted;
-        self.stats.fault += 1;
+        self.stats.incr(Counter::Fault);
         true
     }
 
@@ -627,11 +592,11 @@ impl Imu {
         match resolution {
             Resolution::Hit { .. } => {
                 self.tlb.count_lookup(true);
-                self.stats.tlb_hit += 1;
+                self.stats.incr(Counter::TlbHit);
             }
             Resolution::Fault(FaultCause::TlbMiss { .. }) => {
                 self.tlb.count_lookup(false);
-                self.stats.tlb_miss += 1;
+                self.stats.incr(Counter::TlbMiss);
             }
             Resolution::Param { .. } | Resolution::Fault(_) => {}
         }
@@ -686,7 +651,7 @@ impl Imu {
         // classification above is the CAM match.
         if matches!(resolution, Resolution::Hit { .. }) {
             self.tlb.count_lookup(true);
-            self.stats.tlb_hit += 1;
+            self.stats.incr(Counter::TlbHit);
         }
         self.trace_accept(issue_stamp.min(accept_edge), &req, sink);
         // Acceptance plus countdown plus completion: the same edge count
@@ -734,7 +699,7 @@ impl Imu {
         if link.take_param_done() {
             self.param_frame = None;
             self.sr.param_freed = true;
-            self.stats.param_page_freed += 1;
+            self.stats.incr(Counter::ParamPageFreed);
         }
 
         match self.state {
@@ -797,7 +762,7 @@ impl Imu {
                     self.sr.fault = true;
                     self.fault_cause = Some(cause);
                     self.state = State::Faulted;
-                    self.stats.fault += 1;
+                    self.stats.incr(Counter::Fault);
                     return Some(ImuEvent::Fault);
                 }
             }
@@ -819,7 +784,7 @@ impl Imu {
             self.sr.done = true;
             self.sr.running = false;
             self.state = State::Done;
-            self.stats.done += 1;
+            self.stats.incr(Counter::Done);
             return Some(ImuEvent::Done);
         }
 
@@ -834,7 +799,7 @@ impl Imu {
     ) -> u32 {
         match resolution {
             Resolution::Param { addr } => {
-                self.stats.param_read += 1;
+                self.stats.incr(Counter::ParamRead);
                 dpram
                     .read_word(Port::Pld, addr)
                     .expect("param page address in range")
@@ -843,7 +808,7 @@ impl Imu {
                 self.tlb.record_access(entry, self.edges);
                 match req.kind {
                     AccessKind::Read => {
-                        self.stats.completed_read += 1;
+                        self.stats.incr(Counter::CompletedRead);
                         match elem {
                             ElemSize::U8 => u32::from(
                                 dpram
@@ -861,7 +826,7 @@ impl Imu {
                         }
                     }
                     AccessKind::Write => {
-                        self.stats.completed_write += 1;
+                        self.stats.incr(Counter::CompletedWrite);
                         self.tlb.mark_dirty(entry);
                         match elem {
                             ElemSize::U8 => dpram
@@ -1099,7 +1064,7 @@ mod tests {
         let dirty = b.imu.tlb().dirty_indices();
         assert_eq!(dirty.len(), 1);
         assert!(b.imu.tlb().entry(dirty[0]).dirty);
-        assert_eq!(b.imu.counters().get("completed_write"), 1);
+        assert_eq!(b.imu.counters()[Counter::CompletedWrite], 1);
     }
 
     #[test]
@@ -1179,7 +1144,7 @@ mod tests {
         b.port.issue_read(ObjectId::PARAM, 1);
         let (data, _) = b.run_until_complete(10);
         assert_eq!(data, 42);
-        assert_eq!(b.imu.counters().get("param_read"), 1);
+        assert_eq!(b.imu.counters()[Counter::ParamRead], 1);
 
         // Coprocessor invalidates the parameter page.
         b.port.param_done();
@@ -1302,8 +1267,8 @@ mod tests {
         b.start();
         b.port.issue_read(ObjectId(0), 0);
         b.run_until_complete(10);
-        assert_eq!(b.imu.counters().get("tlb_hit"), 1);
-        assert_eq!(b.imu.counters().get("tlb_miss"), 0);
+        assert_eq!(b.imu.counters()[Counter::TlbHit], 1);
+        assert_eq!(b.imu.counters()[Counter::TlbMiss], 0);
         assert_eq!(b.imu.tlb().hits(), 1);
     }
 

@@ -18,7 +18,7 @@ use vcop_sim::clock::ClockDomain;
 use vcop_sim::dma::{AsyncDmaEngine, TransferId};
 use vcop_sim::fault::{FaultInjector, FaultSite};
 use vcop_sim::mem::{DualPortRam, PageIndex, Port};
-use vcop_sim::stats::{Counters, TimeBuckets};
+use vcop_sim::stats::{Bucket, Counter, Counters, TimeBuckets};
 use vcop_sim::time::SimTime;
 
 use crate::cost::OsCostModel;
@@ -447,7 +447,7 @@ impl Vim {
         let mut total = base;
         if self.faults.roll_tagged(FaultSite::BusStall, asid.0) {
             total += self.bus_time(self.faults.bus_stall_cycles());
-            self.counters.incr("bus_stalled");
+            self.counters.incr(Counter::BusStalled);
         }
         let mut attempts = 0u32;
         while self.faults.roll_tagged(FaultSite::DmaCorrupt, asid.0) {
@@ -459,7 +459,7 @@ impl Vim {
             // Redo the copy: the CRC check caught the corruption, the
             // driver reprograms the descriptor and pays the move again.
             total += base + self.cost.dma_setup_time();
-            self.counters.incr("transfer_retry");
+            self.counters.incr(Counter::TransferRetry);
         }
         total
     }
@@ -520,7 +520,7 @@ impl Vim {
             MappedObject::new(id, direction, elem, data, user_base, hints),
         );
         let t = self.cost.syscall_time();
-        self.times.add("sw_imu", t);
+        self.times.add(Bucket::SwImu, t);
         Ok(t)
     }
 
@@ -605,9 +605,9 @@ impl Vim {
             + self.cost.param_setup_time(params.len())
             + preload_times.total();
         self.times
-            .add("sw_imu", self.cost.syscall_time() + preload_times.imu);
+            .add(Bucket::SwImu, self.cost.syscall_time() + preload_times.imu);
         self.times.add(
-            "sw_dp",
+            Bucket::SwDp,
             self.cost.param_setup_time(params.len()) + preload_times.dp,
         );
         Ok(t)
@@ -659,9 +659,9 @@ impl Vim {
         }
         imu.set_param_frame(pframe);
         let t = self.cost.syscall_time() + self.cost.param_setup_time(params.len());
-        self.times.add("sw_imu", self.cost.syscall_time());
+        self.times.add(Bucket::SwImu, self.cost.syscall_time());
         self.times
-            .add("sw_dp", self.cost.param_setup_time(params.len()));
+            .add(Bucket::SwDp, self.cost.param_setup_time(params.len()));
         Ok(t)
     }
 
@@ -671,7 +671,7 @@ impl Vim {
         if imu.param_frame().is_none() {
             if let Some(f) = self.param_frames.remove(&self.current_asid.0) {
                 self.frames.release_params(f);
-                self.counters.incr("param_freed");
+                self.counters.incr(Counter::ParamFreed);
             }
         }
     }
@@ -732,7 +732,7 @@ impl Vim {
         dpram
             .write_slice(Port::Cpu, frame.0 * self.config.page_bytes, &slice)
             .expect("frame address in range");
-        self.counters.incr("page_load");
+        self.counters.incr(Counter::PageLoad);
         Some((user_addr, bytes))
     }
 
@@ -761,7 +761,7 @@ impl Vim {
             .read_slice(Port::Cpu, frame.0 * page_bytes, &mut buf)
             .expect("frame address in range");
         o.data_mut()[start..end].copy_from_slice(&buf);
-        self.counters.incr("page_writeback");
+        self.counters.incr(Counter::PageWriteback);
         (user_addr, bytes)
     }
 
@@ -826,7 +826,7 @@ impl Vim {
         // parked tenant — the write-back is priced here, lazily, only
         // because the incoming tenant actually steals the frame.
         if resident.asid != asid {
-            self.counters.incr("cross_asid_steal");
+            self.counters.incr(Counter::CrossAsidSteal);
         }
         if imu.tlb().entry(victim.0).dirty {
             out.dp +=
@@ -836,7 +836,7 @@ impl Vim {
         out.imu += self.cost.tlb_update_time();
         self.frames.evict(victim);
         self.policy.on_evict(resident.obj, resident.vpage);
-        self.counters.incr("eviction");
+        self.counters.incr(Counter::Eviction);
         Ok(victim)
     }
 
@@ -868,7 +868,7 @@ impl Vim {
         if let Some(r) = self.frames.evict(victim) {
             self.policy.on_evict(r.obj, r.vpage);
         }
-        self.counters.incr("eviction");
+        self.counters.incr(Counter::Eviction);
         Some(victim)
     }
 
@@ -993,7 +993,7 @@ impl Vim {
             attempts: 0,
             lost: false,
         });
-        self.counters.incr("dma_transfer");
+        self.counters.incr(Counter::DmaTransfer);
         self.inject_submit_faults(ticket, asid);
     }
 
@@ -1030,7 +1030,7 @@ impl Vim {
             attempts: 0,
             lost: false,
         });
-        self.counters.incr("dma_transfer");
+        self.counters.incr(Counter::DmaTransfer);
         self.inject_submit_faults(ticket, resident.asid);
     }
 
@@ -1051,14 +1051,14 @@ impl Vim {
             if let Some(f) = self.in_flight.iter_mut().find(|f| f.ticket == ticket) {
                 f.lost = true;
             }
-            self.counters.incr("dma_lost");
+            self.counters.incr(Counter::DmaLost);
         } else if self.faults.roll_tagged(FaultSite::BusStall, asid.0) {
             let cycles = self.faults.bus_stall_cycles();
             self.dma
                 .as_mut()
                 .expect("overlap engine")
                 .stall_transfer(ticket, cycles);
-            self.counters.incr("bus_stalled");
+            self.counters.incr(Counter::BusStalled);
         }
     }
 
@@ -1090,13 +1090,13 @@ impl Vim {
             _ => return false,
         };
         if resident.asid != asid {
-            self.counters.incr("cross_asid_steal");
+            self.counters.incr(Counter::CrossAsidSteal);
         }
         let dirty = imu.tlb().entry(victim.0).dirty;
         imu.tlb_mut().invalidate(victim.0);
         out.imu += self.cost.tlb_update_time();
         self.policy.on_evict(resident.obj, resident.vpage);
-        self.counters.incr("eviction");
+        self.counters.incr(Counter::Eviction);
         if dirty {
             self.frames.begin_evict(victim);
             self.submit_writeback(
@@ -1149,7 +1149,7 @@ impl Vim {
             if let Some(r) = self.frames.evict(victim) {
                 self.policy.on_evict(r.obj, r.vpage);
             }
-            self.counters.incr("eviction");
+            self.counters.incr(Counter::Eviction);
             victim
         };
         self.frames.begin_load(frame, asid, obj, vpage);
@@ -1184,8 +1184,8 @@ impl Vim {
                 // hidden from the synchronous stall only in the sense
                 // that the platform folds it into the demand wait it
                 // measures.
-                self.times.add("sw_imu", out.imu);
-                self.times.add("sw_dp", out.dp);
+                self.times.add(Bucket::SwImu, out.imu);
+                self.times.add(Bucket::SwDp, out.dp);
             } else {
                 self.deferred_demand.push_back((asid, obj, vpage));
             }
@@ -1202,8 +1202,9 @@ impl Vim {
         let e = self.in_flight[idx];
         if e.attempts >= self.max_transfer_retries {
             self.in_flight[idx].lost = true;
-            self.counters.incr("dma_lost");
-            self.times.add("sw_imu", self.cost.dma_completion_time());
+            self.counters.incr(Counter::DmaLost);
+            self.times
+                .add(Bucket::SwImu, self.cost.dma_completion_time());
             return;
         }
         let (bytes, from, to) = match e.kind {
@@ -1229,10 +1230,10 @@ impl Vim {
         f.ticket = ticket;
         f.attempts += 1;
         self.times.add(
-            "sw_imu",
+            Bucket::SwImu,
             self.cost.dma_completion_time() + self.cost.dma_setup_time(),
         );
-        self.counters.incr("transfer_retry");
+        self.counters.incr(Counter::TransferRetry);
     }
 
     /// Applies one engine completion at bus-edge time `t`.
@@ -1279,7 +1280,7 @@ impl Vim {
                     },
                 );
                 self.policy.on_load(entry.frame.0);
-                self.counters.incr("install_committed");
+                self.counters.incr(Counter::InstallCommitted);
                 if demand {
                     // Stall accounting (wait time, completion interrupt,
                     // resume) is the platform's: it knows the fault time.
@@ -1293,8 +1294,9 @@ impl Vim {
                     // time goes to the separate hidden account, the
                     // completion interrupt to the serial `sw_imu` sum.
                     self.times
-                        .add("dma_hidden", self.bus_time(completion.bus_cycles));
-                    self.times.add("sw_imu", self.cost.dma_completion_time());
+                        .add(Bucket::DmaHidden, self.bus_time(completion.bus_cycles));
+                    self.times
+                        .add(Bucket::SwImu, self.cost.dma_completion_time());
                     self.retry_deferred(t, imu, dpram, ready);
                 }
             }
@@ -1315,19 +1317,20 @@ impl Vim {
                             dpram,
                             &mut out,
                         );
-                        self.times.add("sw_imu", out.imu);
+                        self.times.add(Bucket::SwImu, out.imu);
                         if !chain.demand {
                             self.times
-                                .add("dma_hidden", self.bus_time(completion.bus_cycles));
+                                .add(Bucket::DmaHidden, self.bus_time(completion.bus_cycles));
                         }
                     }
                     None => {
                         self.frames.finish_evict(entry.frame);
                         self.times
-                            .add("dma_hidden", self.bus_time(completion.bus_cycles));
+                            .add(Bucket::DmaHidden, self.bus_time(completion.bus_cycles));
                     }
                 }
-                self.times.add("sw_imu", self.cost.dma_completion_time());
+                self.times
+                    .add(Bucket::SwImu, self.cost.dma_completion_time());
                 self.retry_deferred(t, imu, dpram, ready);
             }
         }
@@ -1418,8 +1421,8 @@ impl Vim {
     /// DMA wait (data movement the coprocessor blocked on → `sw_dp`) and
     /// the completion-interrupt + resume CPU work (→ `sw_imu`).
     pub fn credit_demand_stall(&mut self, dp: SimTime, imu: SimTime) {
-        self.times.add("sw_dp", dp);
-        self.times.add("sw_imu", imu);
+        self.times.add(Bucket::SwDp, dp);
+        self.times.add(Bucket::SwImu, imu);
     }
 
     /// Aborts every in-flight transfer (`FPGA_EXECUTE` teardown or a new
@@ -1441,7 +1444,7 @@ impl Vim {
                     self.frames.finish_evict(entry.frame);
                 }
             }
-            self.counters.incr("dma_cancelled");
+            self.counters.incr(Counter::DmaCancelled);
         }
         self.deferred_demand.clear();
         self.transfer_failure = None;
@@ -1470,7 +1473,7 @@ impl Vim {
             imu: self.cost.fault_entry_time(),
             ..Default::default()
         };
-        self.counters.incr("fault");
+        self.counters.incr(Counter::Fault);
         self.reap_param_frame(imu);
 
         let cause = imu.fault_cause().expect("fault status implies cause");
@@ -1484,7 +1487,7 @@ impl Vim {
                 // A dirty page has no master copy of its modifications —
                 // the data in the interface memory is lost and the run
                 // cannot be trusted.
-                self.counters.incr("parity_fault");
+                self.counters.incr(Counter::ParityFault);
                 let e = *imu.tlb().entry(entry);
                 if e.valid {
                     if e.dirty {
@@ -1530,7 +1533,7 @@ impl Vim {
                     if self.mark_inbound_demand(asid, vpage.obj, vpage.page) {
                         // The page is already inbound (a speculative load
                         // raced the access): just wait for it.
-                        self.counters.incr("fault_on_loading");
+                        self.counters.incr(Counter::FaultOnLoading);
                     } else if !self
                         .start_demand_load(asid, vpage.obj, vpage.page, imu, dpram, &mut out)
                     {
@@ -1541,7 +1544,7 @@ impl Vim {
                         // transfer; retry as completions free them.
                         self.deferred_demand
                             .push_back((asid, vpage.obj, vpage.page));
-                        self.counters.incr("demand_deferred");
+                        self.counters.incr(Counter::DemandDeferred);
                     }
 
                     // Speculative loads ride along: free frames first,
@@ -1559,11 +1562,11 @@ impl Vim {
                         {
                             break;
                         }
-                        self.counters.incr("prefetch");
+                        self.counters.incr(Counter::Prefetch);
                     }
 
-                    self.times.add("sw_dp", out.dp);
-                    self.times.add("sw_imu", out.imu);
+                    self.times.add(Bucket::SwDp, out.dp);
+                    self.times.add(Bucket::SwImu, out.imu);
                     return Ok(FaultService {
                         times: out,
                         pending: true,
@@ -1585,7 +1588,7 @@ impl Vim {
                         break;
                     };
                     self.install_page(asid, vpage.obj, target, slot, imu, dpram, &mut out);
-                    self.counters.incr("prefetch");
+                    self.counters.incr(Counter::Prefetch);
                 }
             }
         }
@@ -1593,8 +1596,8 @@ impl Vim {
         self.check_transfer_failure()?;
         imu.resume();
         out.imu += self.cost.resume_time();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
+        self.times.add(Bucket::SwDp, out.dp);
+        self.times.add(Bucket::SwImu, out.imu);
         Ok(FaultService {
             times: out,
             pending: false,
@@ -1637,8 +1640,8 @@ impl Vim {
         }
         self.check_transfer_failure()?;
         imu.clear_done();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
+        self.times.add(Bucket::SwDp, out.dp);
+        self.times.add(Bucket::SwImu, out.imu);
         Ok(out)
     }
 
@@ -1687,8 +1690,8 @@ impl Vim {
         }
         self.check_transfer_failure()?;
         imu.clear_done();
-        self.times.add("sw_dp", out.dp);
-        self.times.add("sw_imu", out.imu);
+        self.times.add(Bucket::SwDp, out.dp);
+        self.times.add(Bucket::SwImu, out.imu);
         Ok(out)
     }
 
@@ -1760,7 +1763,7 @@ impl Vim {
                     }
                 }
             }
-            self.counters.incr("dma_cancelled");
+            self.counters.incr(Counter::DmaCancelled);
         }
         self.in_flight = kept;
 
@@ -1945,7 +1948,7 @@ mod tests {
         assert_eq!(rig.dpram.read_word(Port::Cpu, 4).unwrap(), 9);
         assert_eq!(rig.imu.param_frame(), Some(PageIndex(0)));
         // All three data pages preloaded (round-robin: obj0 p0, obj1 p0, obj1 p1).
-        assert_eq!(rig.vim.counters().get("page_load"), 3);
+        assert_eq!(rig.vim.counters()[Counter::PageLoad], 3);
         assert_eq!(rig.imu.tlb().valid_indices().len(), 3);
         // Input page content actually copied.
         assert_eq!(
@@ -2003,7 +2006,7 @@ mod tests {
         let got = rig.step_until_complete(16);
         let expect = u32::from_le_bytes(data[2400..2404].try_into().unwrap());
         assert_eq!(got, expect);
-        assert_eq!(rig.vim.counters().get("fault"), 1);
+        assert_eq!(rig.vim.counters()[Counter::Fault], 1);
     }
 
     #[test]
@@ -2035,15 +2038,15 @@ mod tests {
             rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
             rig.step_until_complete(16);
         }
-        assert_eq!(rig.vim.counters().get("eviction"), 0);
+        assert_eq!(rig.vim.counters()[Counter::Eviction], 0);
 
         // Page 7 faults: FIFO evicts dirty page 0 → write-back.
         rig.port.issue_read(ObjectId(0), 7 * elems_per_page);
         rig.step_until_fault(16);
         rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
         rig.step_until_complete(16);
-        assert_eq!(rig.vim.counters().get("eviction"), 1);
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
+        assert_eq!(rig.vim.counters()[Counter::Eviction], 1);
+        assert_eq!(rig.vim.counters()[Counter::PageWriteback], 1);
         let buf = rig.vim.object(ObjectId(0)).unwrap().data();
         assert_eq!(buf[20], 0xAB, "dirty data reached the user buffer");
     }
@@ -2072,7 +2075,7 @@ mod tests {
         assert!(!rig.imu.status().done);
         let buf = rig.vim.take_object(ObjectId(0)).unwrap().into_data();
         assert_eq!(&buf[0..4], &0xDEAD_BEEFu32.to_le_bytes());
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
+        assert_eq!(rig.vim.counters()[Counter::PageWriteback], 1);
     }
 
     #[test]
@@ -2087,8 +2090,8 @@ mod tests {
                 .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
                 .unwrap();
             (
-                rig.vim.counters().get("page_load"),
-                rig.vim.times().get("sw_dp"),
+                rig.vim.counters()[Counter::PageLoad],
+                rig.vim.times()[Bucket::SwDp],
             )
         };
         let (loads_copy, t_copy) = mk(false);
@@ -2118,7 +2121,7 @@ mod tests {
         rig.port.issue_read(ObjectId(0), 0);
         rig.step_until_fault(16);
         rig.vim.service_fault(&mut rig.imu, &mut rig.dpram).unwrap();
-        assert_eq!(rig.vim.counters().get("param_freed"), 1);
+        assert_eq!(rig.vim.counters()[Counter::ParamFreed], 1);
         rig.step_until_complete(16);
     }
 
@@ -2132,7 +2135,7 @@ mod tests {
         rig.vim
             .prepare_execute(&mut rig.imu, &mut rig.dpram, &[])
             .unwrap();
-        assert_eq!(rig.vim.counters().get("page_load"), 0);
+        assert_eq!(rig.vim.counters()[Counter::PageLoad], 0);
         assert!(rig.imu.tlb().valid_indices().is_empty());
     }
 
@@ -2143,8 +2146,8 @@ mod tests {
         rig.vim
             .prepare_execute(&mut rig.imu, &mut rig.dpram, &[1])
             .unwrap();
-        let dp = rig.vim.times().get("sw_dp");
-        let imu_t = rig.vim.times().get("sw_imu");
+        let dp = rig.vim.times()[Bucket::SwDp];
+        let imu_t = rig.vim.times()[Bucket::SwImu];
         assert!(dp > SimTime::ZERO, "preload copies accounted");
         assert!(imu_t > SimTime::ZERO, "syscall + TLB updates accounted");
     }
@@ -2228,8 +2231,8 @@ mod tests {
         let got = rig.step_until_complete(16);
         let expect = u32::from_le_bytes(data[2400..2404].try_into().unwrap());
         assert_eq!(got, expect);
-        assert_eq!(rig.vim.counters().get("dma_transfer"), 1);
-        assert_eq!(rig.vim.counters().get("install_committed"), 1);
+        assert_eq!(rig.vim.counters()[Counter::DmaTransfer], 1);
+        assert_eq!(rig.vim.counters()[Counter::InstallCommitted], 1);
     }
 
     #[test]
@@ -2249,7 +2252,7 @@ mod tests {
             rig.port.issue_read(ObjectId(0), vp * elems_per_page);
             rig.step_until_complete_async(100_000);
         }
-        assert_eq!(rig.vim.counters().get("eviction"), 0);
+        assert_eq!(rig.vim.counters()[Counter::Eviction], 0);
 
         // Page 7 faults: FIFO picks dirty page 0; its write-back and the
         // incoming load run back-to-back on the same frame (the frame
@@ -2262,8 +2265,8 @@ mod tests {
                 .unwrap()
                 .pending
         );
-        assert_eq!(rig.vim.counters().get("page_writeback"), 1);
-        assert_eq!(rig.vim.counters().get("eviction"), 1);
+        assert_eq!(rig.vim.counters()[Counter::PageWriteback], 1);
+        assert_eq!(rig.vim.counters()[Counter::Eviction], 1);
         assert_eq!(rig.vim.pinned_frames(), 1);
         rig.pump_dma_until_ready(200_000);
         rig.imu.resume();
@@ -2306,18 +2309,18 @@ mod tests {
             }
         }
         let c = rig.vim.counters();
-        assert!(c.get("prefetch") > 0, "speculative loads happened");
+        assert!(c[Counter::Prefetch] > 0, "speculative loads happened");
         assert!(
-            c.get("fault") < 10,
+            c[Counter::Fault] < 10,
             "prefetch hid some faults ({} of 10 pages faulted)",
-            c.get("fault")
+            c[Counter::Fault]
         );
         assert!(
-            c.get("eviction") > 0,
+            c[Counter::Eviction] > 0,
             "with all frames warm, speculation stole clean cold frames"
         );
         assert_eq!(
-            c.get("page_writeback"),
+            c[Counter::PageWriteback],
             0,
             "speculation never pays a write-back"
         );
@@ -2352,8 +2355,8 @@ mod tests {
             .unwrap();
         assert!(!rig.vim.dma_busy());
         assert_eq!(rig.vim.pinned_frames(), 0);
-        assert_eq!(rig.vim.counters().get("dma_cancelled"), 3);
-        assert_eq!(rig.vim.counters().get("install_committed"), 0);
+        assert_eq!(rig.vim.counters()[Counter::DmaCancelled], 3);
+        assert_eq!(rig.vim.counters()[Counter::InstallCommitted], 0);
         let far = rig.now + SimTime::from_ms(10);
         assert!(
             rig.vim

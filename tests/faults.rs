@@ -4,9 +4,12 @@
 //! no fallback is registered), and the detour is visible only in the
 //! report's recovery counters.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use vcop::{
-    Direction, ElemSize, Error, FallbackFn, FaultPlan, FaultSite, MapHints, RecoveryPolicy, System,
-    SystemBuilder,
+    Direction, ElemSize, Error, ExecutionReport, FallbackFn, FaultPlan, FaultSite, Kernel,
+    MapHints, RecoveryPolicy, System, SystemBuilder,
 };
 use vcop_apps::adpcm::codec as adpcm_codec;
 use vcop_apps::adpcm::hw::{AdpcmCoprocessor, OBJ_INPUT, OBJ_OUTPUT};
@@ -14,7 +17,7 @@ use vcop_apps::timing;
 use vcop_fabric::bitstream::Bitstream;
 use vcop_fabric::loader::LoadError;
 use vcop_fabric::port::{Coprocessor, CoprocessorPort, ObjectId, Wake};
-use vcop_sim::time::SimTime;
+use vcop_sim::time::{Frequency, SimTime};
 use vcop_vim::VimError;
 
 /// Synthetic adpcm workload: (coded input, expected output bytes).
@@ -394,5 +397,180 @@ fn dead_fabric_fails_configuration_cleanly() {
             );
         }
         other => panic!("expected a configuration fault, got: {other}"),
+    }
+}
+
+/// A coprocessor that reads `accesses` words of object 0 (one page, so
+/// everything after the first miss hits), computing `gap` cycles
+/// between reads, then spins forever without raising `CP_FIN`: awake
+/// on every edge, so only the no-progress watchdog ends the run.
+/// `cycles` counts every coprocessor edge it was clocked (stepped or
+/// skipped).
+#[derive(Debug)]
+struct Spinner {
+    accesses: u32,
+    gap: u64,
+    issued: u32,
+    state: SpinState,
+    cycles: Rc<Cell<u64>>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SpinState {
+    Wait,
+    Issue,
+    Await,
+    Compute(u64),
+    Spin,
+}
+
+impl Spinner {
+    fn after_access(&self) -> SpinState {
+        if self.issued == self.accesses {
+            SpinState::Spin
+        } else if self.gap == 0 {
+            SpinState::Issue
+        } else {
+            SpinState::Compute(self.gap)
+        }
+    }
+}
+
+impl Coprocessor for Spinner {
+    fn name(&self) -> &str {
+        "spinner"
+    }
+
+    fn reset(&mut self) {
+        self.issued = 0;
+        self.state = SpinState::Wait;
+    }
+
+    fn step(&mut self, port: &mut CoprocessorPort) {
+        self.cycles.set(self.cycles.get() + 1);
+        self.state = match self.state {
+            SpinState::Wait if port.started() => self.after_access(),
+            SpinState::Issue if port.can_issue() => {
+                port.issue_read(ObjectId(0), self.issued);
+                self.issued += 1;
+                SpinState::Await
+            }
+            SpinState::Await if port.take_completed().is_some() => self.after_access(),
+            SpinState::Compute(1) => SpinState::Issue,
+            SpinState::Compute(left) => SpinState::Compute(left - 1),
+            other => other,
+        };
+    }
+
+    fn next_wake(&self, port: &CoprocessorPort) -> Wake {
+        let gate = |acts: bool| if acts { Wake::In(1) } else { Wake::Never };
+        match self.state {
+            SpinState::Wait => gate(port.started()),
+            SpinState::Issue => gate(port.can_issue()),
+            SpinState::Await => gate(port.peek_completed().is_some()),
+            SpinState::Compute(left) => Wake::In(left),
+            SpinState::Spin => Wake::In(1),
+        }
+    }
+
+    fn skip(&mut self, n: u64) {
+        self.cycles.set(self.cycles.get() + n);
+        if let SpinState::Compute(left) = self.state {
+            self.state = SpinState::Compute(left - n);
+        }
+    }
+}
+
+/// Accesses, compute gap, (core MHz, IMU MHz), overlapped paging.
+type SpinCase = (u32, u64, (u64, u64), bool);
+
+/// Runs a [`Spinner`] on EPXA1 with a single hardware attempt; returns
+/// the outcome (Debug text, as `Error` has no equality) and the
+/// coprocessor cycles it was clocked.
+fn spin_until_watchdog(
+    kernel: Kernel,
+    (accesses, gap, (cp_mhz, imu_mhz), overlap): SpinCase,
+    fallback: bool,
+) -> (Result<ExecutionReport, String>, u64) {
+    let mut system = SystemBuilder::epxa1()
+        .clocks(Frequency::from_mhz(cp_mhz), Frequency::from_mhz(imu_mhz))
+        .overlap(overlap)
+        .kernel(kernel)
+        .recovery(RecoveryPolicy {
+            max_attempts: 1,
+            ..RecoveryPolicy::default()
+        })
+        .build();
+    if fallback {
+        system.set_software_fallback(Box::new(FallbackFn::new("spin-sw", |_, _| {
+            Ok(SimTime::from_us(1))
+        })));
+    }
+    let cycles = Rc::new(Cell::new(0));
+    let spinner = Spinner {
+        accesses,
+        gap,
+        issued: 0,
+        state: SpinState::Wait,
+        cycles: Rc::clone(&cycles),
+    };
+    system
+        .fpga_load(
+            &Bitstream::builder("spinner").build().to_bytes(),
+            Box::new(spinner),
+        )
+        .expect("load");
+    system
+        .fpga_map_object(
+            ObjectId(0),
+            vec![7; 2048],
+            ElemSize::U32,
+            Direction::In,
+            MapHints::default(),
+        )
+        .expect("map");
+    let outcome = system.fpga_execute(&[]).map_err(|e| format!("{e:?}"));
+    (outcome, cycles.get())
+}
+
+#[test]
+fn watchdog_fires_on_the_same_edge_under_both_kernels() {
+    let limit = RecoveryPolicy::default()
+        .watchdog_edges
+        .expect("armed by default");
+    // No access at all; accesses back to back; and accesses separated
+    // by skippable compute; on equal clocks and on a core four times
+    // slower than the IMU (whose idle edges the kernel skips); with the
+    // fused path (synchronous paging) and without it (overlapped).
+    let cases: [SpinCase; 7] = [
+        (0, 0, (40, 40), false),
+        (40, 0, (40, 40), false),
+        (40, 5, (40, 40), false),
+        (0, 0, (6, 24), false),
+        (40, 5, (6, 24), false),
+        (0, 0, (6, 24), true),
+        (40, 5, (6, 24), true),
+    ];
+    for spin in cases {
+        let case = format!("case {spin:?}");
+        let (stepped, stepped_cycles) = spin_until_watchdog(Kernel::Stepped, spin, false);
+        let (event, event_cycles) = spin_until_watchdog(Kernel::EventDriven, spin, false);
+        let expected = format!("Watchdog {{ stalled_edges: {} }}", limit + 1);
+        assert_eq!(stepped, Err(expected), "{case}: stepped");
+        assert_eq!(event, stepped, "{case}: kernels agree on the error");
+        assert_eq!(
+            event_cycles, stepped_cycles,
+            "{case}: the watchdog fired after the same coprocessor cycle"
+        );
+        assert!(stepped_cycles > limit / 8, "{case}: the core really spun");
+
+        // The failed attempt's simulated time is charged to recovery,
+        // so the fallback report pins the firing instant.
+        let (stepped, _) = spin_until_watchdog(Kernel::Stepped, spin, true);
+        let (event, _) = spin_until_watchdog(Kernel::EventDriven, spin, true);
+        let stepped = stepped.expect("fallback serves the request");
+        assert!(stepped.fallback_taken);
+        assert!(stepped.recovery_time > SimTime::ZERO);
+        assert_eq!(event, Ok(stepped), "{case}: identical fallback reports");
     }
 }
